@@ -314,11 +314,11 @@ func BenchmarkParallelQueries(b *testing.B) {
 	})
 }
 
-// BenchmarkPartitionTopKParallel measures the parallel partition pipeline
+// BenchmarkPartitionTopKWorkers measures the parallel partition pipeline
 // against the sequential baseline (workers=1) on the batch Top-K workload.
 // Inputs are prepared outside the timed loop so the measurement isolates
 // the partition walk itself.
-func BenchmarkPartitionTopKParallel(b *testing.B) {
+func BenchmarkPartitionTopKWorkers(b *testing.B) {
 	c := benchCorpus(b)
 	batch, err := c.Workload(datagen.WorkloadConfig{Seed: 555, Queries: 10})
 	if err != nil {

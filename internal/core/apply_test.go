@@ -10,6 +10,7 @@ import (
 	"xrefine/internal/dewey"
 	"xrefine/internal/kvstore"
 	"xrefine/internal/mutate"
+	"xrefine/internal/storage"
 	"xrefine/internal/xmltree"
 )
 
@@ -334,15 +335,15 @@ func TestApplyCrashRecoveryMatrix(t *testing.T) {
 
 	arms := []struct {
 		name string
-		arm  func(f *kvstore.Faults)
+		arm  func(f *storage.Faults)
 	}{
-		{"write-fail-1", func(f *kvstore.Faults) { f.FailWrites(1) }},
-		{"write-fail-2", func(f *kvstore.Faults) { f.FailWrites(2) }},
-		{"write-fail-5", func(f *kvstore.Faults) { f.FailWrites(5) }},
-		{"write-fail-20", func(f *kvstore.Faults) { f.FailWrites(20) }},
-		{"torn-write-1", func(f *kvstore.Faults) { f.TornWrite(1) }},
-		{"torn-write-3", func(f *kvstore.Faults) { f.TornWrite(3) }},
-		{"torn-write-8", func(f *kvstore.Faults) { f.TornWrite(8) }},
+		{"write-fail-1", func(f *storage.Faults) { f.FailWrites(1) }},
+		{"write-fail-2", func(f *storage.Faults) { f.FailWrites(2) }},
+		{"write-fail-5", func(f *storage.Faults) { f.FailWrites(5) }},
+		{"write-fail-20", func(f *storage.Faults) { f.FailWrites(20) }},
+		{"torn-write-1", func(f *storage.Faults) { f.TornWrite(1) }},
+		{"torn-write-3", func(f *storage.Faults) { f.TornWrite(3) }},
+		{"torn-write-8", func(f *storage.Faults) { f.TornWrite(8) }},
 	}
 	var sawFail, sawSilent int
 	for _, arm := range arms {
@@ -365,7 +366,7 @@ func TestApplyCrashRecoveryMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			faults := &kvstore.Faults{}
+			faults := &storage.Faults{}
 			store, err = kvstore.Open(path, &kvstore.Options{Faults: faults})
 			if err != nil {
 				t.Fatal(err)

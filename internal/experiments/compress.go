@@ -9,19 +9,17 @@ import (
 	"xrefine/internal/refine"
 )
 
-// CompressRow is one mode of the posting-storage comparison: the resident
-// footprint of every loaded list in that representation and the batch
-// Top-K latency the engine pays for it. Mode "encoded" is the shipping
-// block-compressed form; mode "legacy" pins every list, materializing the
-// pre-codec []Posting backbone so both its bytes and its latency are
-// measured on the same build.
+// CompressRow is one posting-storage representation: the resident
+// footprint of every loaded list in that form and, for the shipping
+// block-compressed form (mode "encoded"), the batch Top-K latency the
+// engine pays for it. Mode "legacy" is the pre-codec materialized
+// []Posting backbone, priced by the List.LegacyBytes model and not timed.
 type CompressRow struct {
 	Mode            string        `json:"mode"`
 	ResidentBytes   int           `json:"resident_bytes"`
 	BytesPerPosting float64       `json:"bytes_per_posting"`
-	Avg             time.Duration `json:"avg_ns"`
-	AvgMS           float64       `json:"avg_ms"`
-	Identical       bool          `json:"identical"`
+	Avg             time.Duration `json:"avg_ns,omitempty"`
+	AvgMS           float64       `json:"avg_ms,omitempty"`
 }
 
 // CompressReport aggregates the succinct-posting-list experiment: corpus
@@ -40,10 +38,8 @@ type CompressReport struct {
 // It forces every vocabulary list resident, totals the encoded footprint
 // against the modeled legacy footprint (List.LegacyBytes: 32 B of Posting
 // header plus a size-class-rounded ID allocation per posting), times raw
-// sequential decode with full cursor sweeps, and then runs the corruption
-// batch through refine.PartitionTopK twice — once against the encoded
-// lists and once with every list pinned to its materialized form — with
-// the pinned outcome checked against the encoded signature.
+// sequential decode with full cursor sweeps, and times the corruption
+// batch through refine.PartitionTopK against the encoded lists.
 func CompressCompare(c *Corpus, batch []datagen.Case, k, reps int) (*CompressReport, error) {
 	terms := c.Index.Vocabulary()
 	lists := make([]*index.List, 0, len(terms))
@@ -85,8 +81,8 @@ func CompressCompare(c *Corpus, batch []datagen.Case, k, reps int) (*CompressRep
 	}
 	rep.DecodeNsPerPosting = float64(sweep.Nanoseconds()) / float64(rep.Postings)
 
-	// End-to-end: the same prepared batch against both representations,
-	// bypassing the response cache (mirrors ParallelCompare).
+	// End-to-end: the prepared batch, bypassing the response cache
+	// (mirrors ParallelCompare).
 	ins := make([]refine.Input, 0, len(batch))
 	for _, cs := range batch {
 		in, _, err := c.Engine.Prepare(cs.Corrupted)
@@ -96,67 +92,27 @@ func CompressCompare(c *Corpus, batch []datagen.Case, k, reps int) (*CompressRep
 		in.Parallelism = 1
 		ins = append(ins, in)
 	}
-	want := make([]string, len(ins))
-	for i := range ins {
-		out, err := refine.PartitionTopK(ins[i], k)
-		if err != nil {
-			return nil, err
-		}
-		want[i] = parallelSig(out)
-	}
-	runBatch := func() error {
+	encAvg, err := timeIt(reps, func() error {
 		for i := range ins {
 			if _, err := refine.PartitionTopK(ins[i], k); err != nil {
 				return err
 			}
 		}
 		return nil
-	}
-	encAvg, err := timeIt(reps, runBatch)
+	})
 	if err != nil {
 		return nil, err
 	}
-	rep.Rows = append(rep.Rows, CompressRow{
+	rep.Rows = []CompressRow{{
 		Mode:            "encoded",
 		ResidentBytes:   encBytes,
 		BytesPerPosting: float64(encBytes) / float64(rep.Postings),
 		Avg:             encAvg,
 		AvgMS:           msFloat(encAvg),
-		Identical:       true,
-	})
-
-	// Legacy mode: pinning materializes the full []Posting on each core,
-	// which is exactly the pre-codec backbone; views and cursors serve
-	// from it directly, so the timed walk exercises the old access path.
-	for _, l := range lists {
-		l.Pin()
-	}
-	defer func() {
-		for _, l := range lists {
-			l.Unpin()
-		}
-	}()
-	identical := true
-	for i := range ins {
-		out, err := refine.PartitionTopK(ins[i], k)
-		if err != nil {
-			return nil, err
-		}
-		if parallelSig(out) != want[i] {
-			identical = false
-		}
-	}
-	pinAvg, err := timeIt(reps, runBatch)
-	if err != nil {
-		return nil, err
-	}
-	rep.Rows = append(rep.Rows, CompressRow{
+	}, {
 		Mode:            "legacy",
 		ResidentBytes:   legacyBytes,
 		BytesPerPosting: float64(legacyBytes) / float64(rep.Postings),
-		Avg:             pinAvg,
-		AvgMS:           msFloat(pinAvg),
-		Identical:       identical,
-	})
+	}}
 	return rep, nil
 }

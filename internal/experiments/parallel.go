@@ -65,7 +65,8 @@ func ParallelCompare(c *Corpus, batch []datagen.Case, workerCounts []int, k, rep
 		}
 		row := ParallelRow{Workers: w, Identical: true}
 		for i := range ins {
-			out, err := refine.PartitionTopKParallel(ins[i], k, w)
+			ins[i].Parallelism = w
+			out, err := refine.PartitionTopK(ins[i], k)
 			if err != nil {
 				return nil, err
 			}
@@ -78,7 +79,7 @@ func ParallelCompare(c *Corpus, batch []datagen.Case, workerCounts []int, k, rep
 		}
 		row.Avg, err = timeIt(reps, func() error {
 			for i := range ins {
-				if _, err := refine.PartitionTopKParallel(ins[i], k, w); err != nil {
+				if _, err := refine.PartitionTopK(ins[i], k); err != nil {
 					return err
 				}
 			}

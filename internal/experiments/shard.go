@@ -216,7 +216,7 @@ func memReplicatedRouter(c *Corpus, n int, slow, hedgeAfter time.Duration) (*sha
 	}
 	stores := make([][]storage.Backend, n)
 	var slowStores []storage.Backend
-	faults := make([]*kvstore.Faults, n)
+	faults := make([]*storage.Faults, n)
 	closeStores := func() {
 		for _, grp := range stores {
 			for _, s := range grp {
@@ -226,9 +226,9 @@ func memReplicatedRouter(c *Corpus, n int, slow, hedgeAfter time.Duration) (*sha
 	}
 	for i, sub := range subs {
 		eng := core.NewFromDocument(sub, &core.Config{DisableMetrics: true})
-		faults[i] = &kvstore.Faults{}
+		faults[i] = &storage.Faults{}
 		for j := 0; j < 2; j++ {
-			var f *kvstore.Faults
+			var f *storage.Faults
 			if j == 0 {
 				f = faults[i]
 			}

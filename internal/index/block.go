@@ -55,12 +55,6 @@ type listCore struct {
 	skip  []blockRef
 	n     int
 	types []*xmltree.Type // type ordinal -> interned node type
-
-	// pinned, when set, holds the fully-materialized postings. It exists
-	// for the xbench compress experiment's "legacy" mode (measure the
-	// pre-codec representation) and for tests; production lists never
-	// pin.
-	pinned atomic.Pointer[[]Posting]
 }
 
 // decodedBlock is one lazily-decoded block published through a view's
@@ -509,12 +503,8 @@ func (c *Cursor) Seek(i int) { c.g = c.l.winLo() + i }
 // Posting returns the posting under the cursor, decoding its block into
 // the cursor's scratch if needed. See the sharing contract on Cursor.
 func (c *Cursor) Posting() Posting {
-	core := c.l.core
-	if p := core.pinned.Load(); p != nil {
-		return (*p)[c.g]
-	}
 	if c.g < c.bStart || c.g >= c.bEnd {
-		c.decode(core.findBlock(c.g))
+		c.decode(c.l.core.findBlock(c.g))
 	}
 	return c.scratch.posts[c.g-c.bStart]
 }
@@ -545,13 +535,6 @@ func (c *Cursor) SeekGE(d dewey.ID) int {
 		return c.Pos()
 	}
 	hi := c.l.winHi()
-	if p := core.pinned.Load(); p != nil {
-		s := *p
-		c.g += sort.Search(hi-c.g, func(i int) bool {
-			return dewey.Compare(s[c.g+i].ID, d) >= 0
-		})
-		return c.Pos()
-	}
 	// Fast path: the target lies inside the already-decoded block.
 	if c.g >= c.bStart && c.g < c.bEnd {
 		posts := c.scratch.posts

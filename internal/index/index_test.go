@@ -1,6 +1,8 @@
 package index
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -532,5 +534,89 @@ func TestCompleteByPrefix(t *testing.T) {
 	}
 	if got := ix.CompleteByPrefix("xml", 1); len(got) != 1 {
 		t.Errorf("cap ignored: %v", got)
+	}
+}
+
+// TestLoadRejectsFormat1Postings: a term whose chunks hold the
+// pre-block-codec stream (one delta-coded posting per cell, so the stream
+// opens with a zero shared-prefix length) fails to load with
+// ErrUnsupportedFormat; the rest of the store still serves.
+func TestLoadRejectsFormat1Postings(t *testing.T) {
+	_, ix := buildFig1(t)
+	s := kvstore.NewMem()
+	defer s.Close()
+	if err := ix.Save(s); err != nil {
+		t.Fatal(err)
+	}
+	l, err := ix.List("online")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo := listChunkKey("online", 0)
+	hi := listChunkKey("online", 1<<31)
+	if _, err := s.DeleteRange(lo, hi); err != nil {
+		t.Fatal(err)
+	}
+	var chunk []byte
+	var prev dewey.ID
+	for _, p := range l.Postings() {
+		shared := 0
+		for shared < len(prev) && shared < len(p.ID) && prev[shared] == p.ID[shared] {
+			shared++
+		}
+		chunk = binary.AppendUvarint(chunk, uint64(shared))
+		chunk = binary.AppendUvarint(chunk, uint64(len(p.ID)-shared))
+		for _, c := range p.ID[shared:] {
+			chunk = binary.AppendUvarint(chunk, uint64(c))
+		}
+		chunk = binary.AppendUvarint(chunk, uint64(p.Type.ID))
+		prev = p.ID
+	}
+	if err := s.Put(lo, chunk); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	ix2, err := Load(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ix2.List("online"); !errors.Is(err, ErrUnsupportedFormat) {
+		t.Fatalf("format-1 list loaded with err %v, want ErrUnsupportedFormat", err)
+	}
+	if l, err := ix2.List("xml"); err != nil || l.Len() == 0 {
+		t.Fatalf("format-2 list beside it: len %d, err %v", l.Len(), err)
+	}
+}
+
+// TestLoadRejectsDocMetaWithoutOrdinals: doc metadata that ends after the
+// partition count (the stream before partitions carried ordinals) is
+// refused with ErrUnsupportedFormat instead of assuming 0.0 .. 0.(F-1).
+func TestLoadRejectsDocMetaWithoutOrdinals(t *testing.T) {
+	_, ix := buildFig1(t)
+	s := kvstore.NewMem()
+	defer s.Close()
+	if err := ix.Save(s); err != nil {
+		t.Fatal(err)
+	}
+	var b []byte
+	b = binary.AppendUvarint(b, uint64(ix.NodeCount))
+	b = binary.AppendUvarint(b, uint64(len(ix.nt)))
+	for _, v := range ix.nt {
+		b = binary.AppendUvarint(b, uint64(v))
+	}
+	for _, v := range ix.gt {
+		b = binary.AppendUvarint(b, uint64(v))
+	}
+	b = binary.AppendUvarint(b, uint64(len(ix.partRoot)))
+	if err := s.Put([]byte(metaDocKey), b); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(s); !errors.Is(err, ErrUnsupportedFormat) {
+		t.Fatalf("Load = %v, want ErrUnsupportedFormat", err)
 	}
 }

@@ -3,7 +3,9 @@ package index
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"sort"
 
 	"xrefine/internal/dewey"
@@ -26,27 +28,26 @@ import (
 // is a concatenation plus a skip-table walk, never a re-encode, and disk
 // shrinks with memory. Chunk boundaries are arbitrary byte splits sized to
 // the store's quarter-page cell bound; blocks need not align with chunks.
-//
-// Stores written before the block codec used one delta-encoded posting
-// per cell with each chunk self-contained, so their first payload byte is
-// always 0x00 (first cell's shared-prefix length). The new stream starts
-// with the type count, a uvarint >= 1 for any non-empty list, so the
-// first byte distinguishes the formats per term: legacy terms load via
-// the decode-and-re-encode fallback and upgrade in place the next time a
-// mutation batch rewrites them (SaveDelta always writes the new format).
+
 // FormatVersion names the current on-disk posting format: "2" is the
-// block-encoded stream described above; stores written before the block
-// codec (one delta-encoded posting per cell) are format "1" and are read
-// through the per-term fallback. Exported so the serving layer can label
-// xrefine_build_info with the format it writes.
+// block-encoded stream described above. Older stores — format "1"
+// posting chunks (one delta-encoded posting per cell) or doc metadata
+// without explicit partition ordinals — are rejected with
+// ErrUnsupportedFormat and must be re-indexed. Exported so the serving
+// layer can label xrefine_build_info with the format it writes.
 const FormatVersion = "2"
+
+// ErrUnsupportedFormat reports a store written in a format this build no
+// longer reads (see FormatVersion). Re-index the source document to
+// upgrade it; test with errors.Is.
+var ErrUnsupportedFormat = errors.New("index: unsupported store format, re-index")
 
 const (
 	metaTypesKey = "M\x00types"
 	metaDocKey   = "M\x00doc"
 	// metaDocExtPrefix keys continuation chunks of the doc metadata when
 	// it outgrows a single cell (many types, or a fragmented partition
-	// set after live updates). Legacy stores have no continuation keys.
+	// set after live updates).
 	metaDocExtPrefix = "M\x00doc\x00"
 	freqPrefix       = "F\x00"
 	listPrefix       = "L\x00"
@@ -174,14 +175,11 @@ func decodeDocMeta(ix *Index, b []byte, idMap []*xmltree.Type) error {
 	if err != nil {
 		return err
 	}
-	if r.Len() == 0 {
-		// Legacy stream: no explicit ordinals, partitions are 0.0..0.(F-1).
-		for i := uint64(0); i < nParts; i++ {
-			ix.partRoot = append(ix.partRoot, dewey.Root().Child(uint32(i)))
-		}
-		return nil
-	}
 	nRuns, err := binary.ReadUvarint(r)
+	if err == io.EOF {
+		// Old stores end after the partition count: no ordinal runs.
+		return fmt.Errorf("%w: doc metadata without partition ordinals", ErrUnsupportedFormat)
+	}
 	if err != nil {
 		return err
 	}
@@ -336,49 +334,33 @@ func saveChunks(s storage.Backend, term string, l *List) error {
 }
 
 // loadChunks reads and concatenates every chunk of a term's posting list
-// into the resident encoded core (or, for a legacy-format term, decodes
-// the old per-cell stream and re-encodes). resolve maps the store's
-// persisted type IDs to interned types — the registry's own ByID for
-// plain loads, an idMap lookup for shared-registry loads.
+// into the resident encoded core. resolve maps the store's persisted type
+// IDs to interned types — the registry's own ByID for plain loads, an
+// idMap lookup for shared-registry loads.
 func loadChunks(s storage.Backend, resolve func(int) (*xmltree.Type, bool), term string) (*List, error) {
 	prefix := append([]byte(listPrefix), term...)
 	prefix = append(prefix, 0)
 	end := append(append([]byte(nil), prefix...), 0xFF, 0xFF, 0xFF, 0xFF, 0xFF)
 	var stream []byte
-	legacy := false
-	var legacyPostings []Posting
-	var decodeErr error
-	first := true
 	err := s.Range(prefix, end, func(k, v []byte) bool {
-		if first {
-			first = false
-			// Legacy chunks open with a self-contained cell (shared == 0);
-			// the block stream opens with its type count (>= 1).
-			legacy = len(v) > 0 && v[0] == 0
-		}
-		if legacy {
-			legacyPostings, decodeErr = decodeLegacyChunk(v, term, resolve, legacyPostings)
-			return decodeErr == nil
-		}
 		stream = append(stream, v...)
 		return true
 	})
 	if err != nil {
 		return nil, err
 	}
-	if decodeErr != nil {
-		return nil, decodeErr
-	}
-	if legacy {
-		return NewList(term, legacyPostings), nil
-	}
 	if len(stream) == 0 {
 		return &List{Term: term}, nil
 	}
 	r := bytes.NewReader(stream)
 	nTypes, err := binary.ReadUvarint(r)
-	if err != nil || nTypes == 0 {
+	if err != nil {
 		return nil, fmt.Errorf("index: chunks of %q: bad type table header", term)
+	}
+	if nTypes == 0 {
+		// A non-empty list has at least one type; a zero here is the
+		// shared-prefix length that opens every format-1 chunk.
+		return nil, fmt.Errorf("%w: format-1 posting chunks for %q", ErrUnsupportedFormat, term)
 	}
 	types := make([]*xmltree.Type, nTypes)
 	for i := range types {
@@ -397,49 +379,6 @@ func loadChunks(s storage.Backend, resolve func(int) (*xmltree.Type, bool), term
 		return nil, fmt.Errorf("index: chunks of %q: %w", term, err)
 	}
 	return newListFromCore(term, core), nil
-}
-
-// decodeLegacyChunk decodes one pre-codec chunk (one delta-coded posting
-// per cell, chunk self-contained) and appends its postings.
-func decodeLegacyChunk(v []byte, term string, resolve func(int) (*xmltree.Type, bool), postings []Posting) ([]Posting, error) {
-	var prev dewey.ID
-	r := bytes.NewReader(v)
-	for r.Len() > 0 {
-		shared, err := binary.ReadUvarint(r)
-		if err != nil {
-			return postings, err
-		}
-		extra, err := binary.ReadUvarint(r)
-		if err != nil {
-			return postings, err
-		}
-		if int(shared) > len(prev) {
-			return postings, fmt.Errorf("index: chunk of %q: shared %d > prev %d", term, shared, len(prev))
-		}
-		id := make(dewey.ID, 0, int(shared)+int(extra))
-		id = append(id, prev[:shared]...)
-		for i := 0; i < int(extra); i++ {
-			c, err := binary.ReadUvarint(r)
-			if err != nil {
-				return postings, err
-			}
-			id = append(id, uint32(c))
-		}
-		tid, err := binary.ReadUvarint(r)
-		if err != nil {
-			return postings, err
-		}
-		t, ok := resolve(int(tid))
-		if !ok {
-			return postings, fmt.Errorf("index: chunk of %q names unknown type %d", term, tid)
-		}
-		if len(postings) > 0 && dewey.Compare(postings[len(postings)-1].ID, id) >= 0 {
-			return postings, fmt.Errorf("index: chunk of %q out of document order", term)
-		}
-		postings = append(postings, Posting{ID: id, Type: t})
-		prev = id
-	}
-	return postings, nil
 }
 
 // Load opens an index previously written with Save. Statistics load

@@ -28,9 +28,6 @@ type TopKOutcome struct {
 	// Workers is the number of goroutines that executed the partition
 	// walk: 1 for the sequential path.
 	Workers int
-	// Ranges is the number of contiguous partition ranges the document
-	// was pre-split into (0 for the sequential path).
-	Ranges int
 	// Degraded reports that the exploration stopped early — deadline or
 	// posting budget — and Candidates holds the best refined queries
 	// found up to that point rather than the complete answer.
@@ -53,20 +50,6 @@ type TopKOutcome struct {
 	// SLCAPostings totals the postings handed to delegated SLCA
 	// computations — the work the SLCA layer actually received.
 	SLCAPostings int64
-	// WorkerShares describes each parallel worker's share of the walk;
-	// nil for the sequential path.
-	WorkerShares []WorkerShare
-}
-
-// WorkerShare is one parallel worker's slice of the partition walk.
-type WorkerShare struct {
-	// Ranges is how many contiguous partition ranges the worker drew
-	// from the job queue.
-	Ranges int
-	// Partitions is how many partitions the worker fully processed.
-	Partitions int
-	// SLCACalls counts the SLCA computations the worker ran.
-	SLCACalls int
 }
 
 // markDegraded records a budget-induced early stop on the outcome.
@@ -86,12 +69,9 @@ func (o *TopKOutcome) markDegraded(b *Budget) {
 // (Theorem 2).
 //
 // When in.Parallelism > 1 the walk executes on the parallel
-// partition-pipeline (see PartitionTopKParallel); the output is identical
+// partition-pipeline (see partition_parallel.go); the output is identical
 // either way.
 func PartitionTopK(in Input, k int) (*TopKOutcome, error) {
-	if in.Parallelism > 1 {
-		return PartitionTopKParallel(in, k, in.Parallelism)
-	}
 	if k < 1 {
 		k = 1
 	}
@@ -103,12 +83,17 @@ func PartitionTopK(in Input, k int) (*TopKOutcome, error) {
 	if err != nil {
 		return nil, err
 	}
+	if in.Parallelism > 1 {
+		return partitionTopKParallel(in, k, ks, lists)
+	}
 	return partitionTopKSeq(in, k, ks, lists)
 }
 
-// scanLists fetches the inverted list of every scan keyword. Loads go
-// through the context-aware index path so a canceled query stops between
-// (possibly disk-backed) list loads. Under tracing it records a
+// scanLists fetches the inverted list of every term of ks, in order; every
+// algorithm in this package loads its lists here. Loads go through the
+// context-aware index path so a canceled query stops between (possibly
+// disk-backed) list loads, and each list is wrapped in a private View so
+// the query's block-cache locality is its own. Under tracing it records a
 // "load-lists" span noting how many lists had to be lazily loaded (vs
 // already resident) and the posting mass fetched.
 func scanLists(in Input, ks []string) ([]*index.List, error) {
@@ -126,8 +111,6 @@ func scanLists(in Input, ks []string) ([]*index.List, error) {
 			loaded++
 		}
 		postings += int64(l.Len())
-		// A private view per query: block-cache locality of this scan is
-		// isolated from every other query sharing the resident list.
 		lists[i] = l.View()
 	}
 	if sp != nil {

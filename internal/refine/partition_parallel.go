@@ -19,9 +19,8 @@ import (
 // 2K-th dissimilarity bound through an atomic so the paper's SLCA-skipping
 // prune keeps working across goroutines.
 //
-// Workers record, per partition in their range, the top-2K refined queries
-// and the SLCA results they computed. A deterministic merge phase then
-// replays those records partition-by-partition in document order through a
+// Each range's walk is recorded as a Scan (scan.go), and MergeScans
+// replays the records partition-by-partition in document order through a
 // fresh SortedList — the exact sequential admission logic — so the outcome
 // (candidate set, dissimilarities, and Results concatenated in document
 // order) is identical to the sequential run. The shared bound is only a
@@ -39,22 +38,11 @@ const minPostingsPerRange = 256
 // finer than the worker count lets the pool balance skewed partitions.
 const rangeOversplit = 4
 
-// PartitionTopKParallel runs Algorithm 2 on `workers` goroutines and
-// returns output identical to the sequential PartitionTopK. workers <= 1,
-// queries with no scan keywords, and documents too small to split all fall
-// back to the sequential path.
-func PartitionTopKParallel(in Input, k, workers int) (*TopKOutcome, error) {
-	if k < 1 {
-		k = 1
-	}
-	ks := in.scanKeywords()
-	if len(ks) == 0 {
-		return &TopKOutcome{Workers: 1}, nil
-	}
-	lists, err := scanLists(in, ks)
-	if err != nil {
-		return nil, err
-	}
+// partitionTopKParallel runs Algorithm 2 on in.Parallelism goroutines over
+// the already-loaded lists of ks and returns output identical to
+// partitionTopKSeq, to which documents too small to split fall back.
+func partitionTopKParallel(in Input, k int, ks []string, lists []*index.List) (*TopKOutcome, error) {
+	workers := in.Parallelism
 	total := 0
 	for _, l := range lists {
 		total += l.Len()
@@ -73,8 +61,7 @@ func PartitionTopKParallel(in Input, k, workers int) (*TopKOutcome, error) {
 
 	var (
 		bound      = NewPruneBound()
-		perRange   = make([]*rangeOutcome, ranges)
-		shares     = make([]WorkerShare, workers)
+		scans      = make([]*Scan, ranges)
 		jobs       = make(chan int)
 		wg         sync.WaitGroup
 		firstErr   error
@@ -96,22 +83,23 @@ func PartitionTopKParallel(in Input, k, workers int) (*TopKOutcome, error) {
 			// are not additive with the sequential stage spans.
 			ws := in.Trace.StartChild("worker-" + strconv.Itoa(wi))
 			local := NewSortedList(2 * k)
+			var nRanges, partitions, slcaCalls int
 			for r := range jobs {
 				lo, hi := rangeBounds(pivots, r)
-				res, err := walkRange(in, k, ks, lists, lo, hi, local, bound)
+				s, err := walkRange(in, k, ks, lists, lo, hi, local, bound)
 				if err != nil {
 					fail(err)
 					continue
 				}
-				perRange[r] = res
-				shares[wi].Ranges++
-				shares[wi].Partitions += len(res.partitions)
-				shares[wi].SLCACalls += res.slcaCalls
+				scans[r] = s
+				nRanges++
+				partitions += len(s.partitions)
+				slcaCalls += s.slcaCalls
 			}
 			if ws != nil {
-				ws.SetInt("ranges", int64(shares[wi].Ranges))
-				ws.SetInt("partitions", int64(shares[wi].Partitions))
-				ws.SetInt("slca_calls", int64(shares[wi].SLCACalls))
+				ws.SetInt("ranges", int64(nRanges))
+				ws.SetInt("partitions", int64(partitions))
+				ws.SetInt("slca_calls", int64(slcaCalls))
 				ws.End()
 			}
 		}(w)
@@ -125,15 +113,12 @@ func PartitionTopKParallel(in Input, k, workers int) (*TopKOutcome, error) {
 		return nil, firstErr
 	}
 	ms := in.Trace.StartChild("merge")
-	out, err := mergeRanges(in, k, ks, lists, perRange)
+	out, err := MergeScans(in, k, scans)
 	ms.End()
 	if err != nil {
 		return nil, err
 	}
 	out.Workers = workers
-	out.Ranges = ranges
-	out.WorkerShares = shares
-	out.markDegraded(in.Budget)
 	return out, nil
 }
 
@@ -222,175 +207,5 @@ func (b *PruneBound) lower(v float64) bool {
 		if b.bits.CompareAndSwap(old, math.Float64bits(v)) {
 			return true
 		}
-	}
-}
-
-// rqRecord is one refined query surfaced in one partition: the RQ itself
-// and, when the worker computed it, the partition's meaningful SLCA
-// results. computed distinguishes "computed, empty" (no recompute needed)
-// from "skipped by the bound" (the merge recomputes on demand).
-type rqRecord struct {
-	rq       RQ
-	computed bool
-	results  []Match
-}
-
-// partitionRecord is everything the merge needs to replay one partition.
-type partitionRecord struct {
-	pid dewey.ID
-	rqs []rqRecord
-}
-
-// rangeOutcome is one worker's record of one contiguous partition range.
-type rangeOutcome struct {
-	partitions   []partitionRecord
-	slcaCalls    int
-	slcaPostings int64
-	rqGenerated  int
-	rqPruned     int
-	boundUpdates int
-}
-
-// walkRange processes the partitions inside [lo, hi): for each partition it
-// runs the top-2K dynamic program and computes SLCA results for every
-// refined query that might still enter the global top-2K, judged against
-// the worker-local list and the shared bound. local persists across the
-// ranges a worker processes — it only ever tightens the bound, and ranges
-// are replayed in document order later, so staleness is harmless.
-func walkRange(in Input, k int, ks []string, lists []*index.List, lo, hi dewey.ID, local *SortedList, bound *PruneBound) (*rangeOutcome, error) {
-	res := &rangeOutcome{}
-	w := newPartitionWalker(ks, lists, lo, hi)
-	defer w.close()
-	for {
-		pid, ok := w.next()
-		if !ok {
-			return res, nil
-		}
-		// The budget is shared across every worker, so one tripped check
-		// stops the whole pool cooperatively. A hard cancellation aborts
-		// with the context error; a degradable stop truncates this
-		// range's record — only fully-processed partitions contribute.
-		if !in.Budget.Charge(w.spanPostings()) {
-			if err := in.Budget.Err(); err != nil {
-				return nil, err
-			}
-			return res, nil
-		}
-		rqs := TopRQs(in.Query, w.avail, in.Rules, 2*k)
-		res.rqGenerated += len(rqs)
-		rec := partitionRecord{pid: pid, rqs: make([]rqRecord, 0, len(rqs))}
-		for _, rq := range rqs {
-			item := local.Has(rq)
-			if item == nil && !(rq.DSim < bound.get() && local.Qualifies(rq.DSim)) {
-				res.rqPruned++
-				rec.rqs = append(rec.rqs, rqRecord{rq: rq})
-				continue
-			}
-			matches, postings, err := partitionSLCA(in, rq, ks, lists, w.spans, pid)
-			if err != nil {
-				return nil, err
-			}
-			res.slcaCalls++
-			res.slcaPostings += int64(postings)
-			rec.rqs = append(rec.rqs, rqRecord{rq: rq, computed: true, results: matches})
-			if len(matches) == 0 || item != nil {
-				continue
-			}
-			if local.Insert(rq, nil) != nil && local.Full() {
-				if bound.lower(local.Worst()) {
-					res.boundUpdates++
-				}
-			}
-		}
-		res.partitions = append(res.partitions, rec)
-	}
-}
-
-// mergeRanges replays the per-range partition records in document order
-// through a fresh SortedList, applying exactly the sequential admission
-// logic, so the merged outcome is identical to the sequential run. SLCA
-// results a worker skipped but the replay needs are recomputed here from
-// the same partition sublists.
-func mergeRanges(in Input, k int, ks []string, lists []*index.List, perRange []*rangeOutcome) (*TopKOutcome, error) {
-	out := &TopKOutcome{}
-	sorted := NewSortedList(2 * k)
-	spans := make([]span, len(lists))
-	for _, rng := range perRange {
-		if rng == nil {
-			continue
-		}
-		// The merge only replays already-recorded work, so it ignores the
-		// degradable budget — but a hard cancellation still aborts it.
-		if err := in.Budget.Err(); err != nil {
-			return nil, err
-		}
-		out.SLCACalls += rng.slcaCalls
-		out.SLCAPostings += rng.slcaPostings
-		out.RQGenerated += rng.rqGenerated
-		out.RQPruned += rng.rqPruned
-		out.BoundUpdates += rng.boundUpdates
-		for _, rec := range rng.partitions {
-			out.Partitions++
-			if err := replayPartition(in, ks, lists, spans, rec, sorted, out); err != nil {
-				return nil, err
-			}
-		}
-	}
-	for _, it := range sorted.Items() {
-		out.Candidates = append(out.Candidates, it)
-	}
-	return out, nil
-}
-
-// replayPartition applies one recorded partition to the merge's SortedList
-// with exactly the sequential admission logic: membership and
-// qualification are judged against the replay list, and SLCA results a
-// recording pass skipped (its bound was a lower envelope of the replay's)
-// are recomputed here from the same partition sublists. Both the
-// intra-document range merge (mergeRanges) and the cross-shard merge
-// (MergeShardScans) funnel through this one function, so the two layers
-// cannot drift apart.
-func replayPartition(in Input, ks []string, lists []*index.List, spans []span, rec partitionRecord, sorted *SortedList, out *TopKOutcome) error {
-	spansReady := false
-	for _, rr := range rec.rqs {
-		item := sorted.Has(rr.rq)
-		if item == nil && !sorted.Qualifies(rr.rq.DSim) {
-			continue
-		}
-		res := rr.results
-		if !rr.computed {
-			if !spansReady {
-				partitionSpans(lists, rec.pid, spans)
-				spansReady = true
-			}
-			var err error
-			var postings int
-			res, postings, err = partitionSLCA(in, rr.rq, ks, lists, spans, rec.pid)
-			if err != nil {
-				return err
-			}
-			out.SLCACalls++
-			out.SLCAPostings += int64(postings)
-		}
-		if len(res) == 0 {
-			continue
-		}
-		if item != nil {
-			item.Results = append(item.Results, res...)
-		} else {
-			sorted.Insert(rr.rq, res)
-		}
-	}
-	return nil
-}
-
-// partitionSpans reconstructs the sublist spans of a partition. Inside the
-// walk the span start is the cursor position, but by the time a partition
-// is visited every posting before its root has been consumed, so the
-// cursor equals SeekGE(pid) — two binary searches recover the same spans.
-func partitionSpans(lists []*index.List, pid dewey.ID, spans []span) {
-	pidEnd := pid.Next()
-	for i, l := range lists {
-		spans[i] = span{start: l.SeekGE(pid), end: l.SeekGE(pidEnd)}
 	}
 }

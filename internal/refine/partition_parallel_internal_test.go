@@ -170,7 +170,9 @@ func TestParallelWorkerPoolUnderRace(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			out, err := PartitionTopKParallel(in, 3, 2+g%4)
+			pin := in
+			pin.Parallelism = 2 + g%4
+			out, err := PartitionTopK(pin, 3)
 			if err != nil {
 				errs <- err.Error()
 				return
@@ -196,13 +198,15 @@ func TestParallelWorkerPoolUnderRace(t *testing.T) {
 func TestParallelFallsBackOnTinyDocuments(t *testing.T) {
 	f := newFixture(t, fig1, []string{"online", "keyword"})
 	in := f.input(t, []string{"online", "keyword"}, nil)
-	out, err := PartitionTopKParallel(in, 3, 8)
+	in.Parallelism = 8
+	out, err := PartitionTopK(in, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Workers != 1 || out.Ranges != 0 {
-		t.Fatalf("tiny document ran %d workers over %d ranges, want sequential", out.Workers, out.Ranges)
+	if out.Workers != 1 {
+		t.Fatalf("tiny document ran %d workers, want sequential", out.Workers)
 	}
+	in.Parallelism = 1
 	seq, err := PartitionTopK(in, 3)
 	if err != nil {
 		t.Fatal(err)

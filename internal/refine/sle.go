@@ -28,31 +28,13 @@ func ShortListEager(in Input, k int) (*TopKOutcome, error) {
 	if len(ks) == 0 {
 		return out, nil
 	}
+	loaded, err := scanLists(in, ks)
+	if err != nil {
+		return nil, err
+	}
 	lists := make(map[string]*index.List, len(ks))
-	{
-		ctx := in.Budget.Context()
-		sp := in.Trace.StartChild("load-lists")
-		var loaded, postings int64
-		for _, kw := range ks {
-			l, wasLoaded, err := in.Index.ListCtxInfo(ctx, kw)
-			if err != nil {
-				sp.End()
-				return nil, err
-			}
-			if wasLoaded {
-				loaded++
-			}
-			postings += int64(l.Len())
-			// A private view per query: the random-access probes below
-			// keep their block locality to themselves.
-			lists[kw] = l.View()
-		}
-		if sp != nil {
-			sp.SetInt("lists", int64(len(ks)))
-			sp.SetInt("loaded", loaded)
-			sp.SetInt("postings", postings)
-			sp.End()
-		}
+	for i, kw := range ks {
+		lists[kw] = loaded[i]
 	}
 	sorted := NewSortedList(2 * k)
 	remaining := append([]string(nil), ks...)
@@ -193,40 +175,23 @@ func ShortListEager(in Input, k int) (*TopKOutcome, error) {
 // the baseline the experiments compare against (stack-slca / scan-slca on
 // Q) and the quick path for engines that know no refinement is wanted.
 func Original(in Input) ([]Match, error) {
-	ctx := in.Budget.Context()
-	sp := in.Trace.StartChild("load-lists")
-	sub := make([]*index.List, len(in.Query))
-	var loaded, postings int64
-	for i, kw := range in.Query {
-		l, wasLoaded, err := in.Index.ListCtxInfo(ctx, kw)
-		if err != nil {
-			sp.End()
-			return nil, err
-		}
-		if wasLoaded {
-			loaded++
-		}
-		postings += int64(l.Len())
-		if l.Len() == 0 {
-			sp.End()
-			return nil, nil
-		}
-		sub[i] = l
-	}
-	if sp != nil {
-		sp.SetInt("lists", int64(len(in.Query)))
-		sp.SetInt("loaded", loaded)
-		sp.SetInt("postings", postings)
-		sp.End()
+	sub, err := scanLists(in, in.Query)
+	if err != nil {
+		return nil, err
 	}
 	if len(sub) == 0 {
 		return nil, nil
+	}
+	for _, l := range sub {
+		if l.Len() == 0 {
+			return nil, nil
+		}
 	}
 	var t0 time.Time
 	if in.Trace != nil {
 		t0 = time.Now()
 	}
-	ids, err := slca.ComputeCtx(ctx, in.SLCA, sub)
+	ids, err := slca.ComputeCtx(in.Budget.Context(), in.SLCA, sub)
 	if in.Trace != nil {
 		in.Trace.AddInt("slca_ns", int64(time.Since(t0)))
 	}

@@ -40,13 +40,9 @@ func Stack(in Input) (*StackOutcome, error) {
 	if len(ks) == 0 {
 		return out, nil
 	}
-	lists := make([]*index.List, len(ks))
-	for i, k := range ks {
-		l, err := in.Index.List(k)
-		if err != nil {
-			return nil, err
-		}
-		lists[i] = l
+	lists, err := scanLists(in, ks)
+	if err != nil {
+		return nil, err
 	}
 	bit := make(map[string]int, len(ks))
 	for i, k := range ks {

@@ -30,15 +30,13 @@ func StackTopK(in Input, k int) (*TopKOutcome, error) {
 	if len(ks) == 0 {
 		return out, nil
 	}
+	lists, err := scanLists(in, ks)
+	if err != nil {
+		return nil, err
+	}
 	byTerm := make(map[string]*index.List, len(ks))
-	ordered := make([]*index.List, len(ks))
 	for i, kw := range ks {
-		l, err := in.Index.List(kw)
-		if err != nil {
-			return nil, err
-		}
-		byTerm[kw] = l
-		ordered[i] = l
+		byTerm[kw] = lists[i]
 	}
 	sorted := NewSortedList(2 * k)
 
@@ -69,7 +67,8 @@ func StackTopK(in Input, k int) (*TopKOutcome, error) {
 			stack[len(stack)-1].mask |= e.mask
 		}
 	}
-	merge := newMergeScan(ordered)
+	merge := newMergeScan(lists)
+	defer merge.close()
 	steps := 0
 	for {
 		id, mask, typ, ok := merge.next()

@@ -13,7 +13,6 @@ import (
 
 	"xrefine/internal/core"
 	"xrefine/internal/datagen"
-	"xrefine/internal/kvstore"
 	"xrefine/internal/mutate"
 	"xrefine/internal/refine"
 	"xrefine/internal/server"
@@ -40,7 +39,7 @@ func corpusDoc(t *testing.T, authors int, seed int64) *xmltree.Document {
 // memRouter splits doc across n in-memory shard stores and routers them.
 // faults, when non-nil, must have one entry per shard; each store is
 // built with that shard's fault injector (disarmed until the test arms it).
-func memRouter(t *testing.T, doc *xmltree.Document, n int, mode string, cfg *core.Config, faults []*kvstore.Faults) *Router {
+func memRouter(t *testing.T, doc *xmltree.Document, n int, mode string, cfg *core.Config, faults []*storage.Faults) *Router {
 	t.Helper()
 	subs, err := SplitDocument(doc, n, mode)
 	if err != nil {
@@ -48,7 +47,7 @@ func memRouter(t *testing.T, doc *xmltree.Document, n int, mode string, cfg *cor
 	}
 	stores := make([]storage.Backend, n)
 	for i, sub := range subs {
-		var f *kvstore.Faults
+		var f *storage.Faults
 		if faults != nil {
 			f = faults[i]
 		}
@@ -203,7 +202,7 @@ func TestShardLiveUpdates(t *testing.T) {
 // answer.
 func TestShardPartialDegrade(t *testing.T) {
 	doc := corpusDoc(t, 32, 5)
-	faults := []*kvstore.Faults{nil, {}}
+	faults := []*storage.Faults{nil, {}}
 	subs, err := SplitDocument(doc, 2, ModeRange)
 	if err != nil {
 		t.Fatal(err)

@@ -28,7 +28,7 @@ import (
 // in-memory replica stores each and routers them. faults, when non-nil, is
 // indexed faults[shard][replica]; nil entries leave that store unfaulted.
 // With opts.Live each replica gets its own WAL file under a test temp dir.
-func memReplicatedRouter(t *testing.T, authors int, seed int64, n, rs int, opts *Options, faults [][]*kvstore.Faults) *Router {
+func memReplicatedRouter(t *testing.T, authors int, seed int64, n, rs int, opts *Options, faults [][]*storage.Faults) *Router {
 	t.Helper()
 	doc := corpusDoc(t, authors, seed)
 	subs, err := SplitDocument(doc, n, ModeRange)
@@ -47,7 +47,7 @@ func memReplicatedRouter(t *testing.T, authors int, seed int64, n, rs int, opts 
 	for i, sub := range subs {
 		eng := core.NewFromDocument(sub, &core.Config{DisableMetrics: true})
 		for j := 0; j < rs; j++ {
-			var f *kvstore.Faults
+			var f *storage.Faults
 			if faults != nil && faults[i] != nil {
 				f = faults[i][j]
 			}
@@ -111,7 +111,7 @@ func TestReplicaFaultMatrix(t *testing.T) {
 	want := fetchSearch(t, mono, "database query", "partition", 1, 3)
 
 	t.Run("slow-replica-hedged", func(t *testing.T) {
-		faults := [][]*kvstore.Faults{{{}, nil}, {nil, nil}}
+		faults := [][]*storage.Faults{{{}, nil}, {nil, nil}}
 		r := memReplicatedRouter(t, 32, 5, 2, 2, &Options{HedgeAfter: 100 * time.Microsecond}, faults)
 		srv := server.NewFromBackend(r, server.Config{})
 		// Arm after construction so only query-time reads pay the latency.
@@ -131,7 +131,7 @@ func TestReplicaFaultMatrix(t *testing.T) {
 	})
 
 	t.Run("flaky-replica-retried", func(t *testing.T) {
-		faults := [][]*kvstore.Faults{{{}, nil}, {nil, nil}}
+		faults := [][]*storage.Faults{{{}, nil}, {nil, nil}}
 		r := memReplicatedRouter(t, 32, 5, 2, 2, nil, faults)
 		srv := server.NewFromBackend(r, server.Config{})
 		faults[0][0].Seed(99)
@@ -148,7 +148,7 @@ func TestReplicaFaultMatrix(t *testing.T) {
 	})
 
 	t.Run("dead-replica-failover", func(t *testing.T) {
-		faults := [][]*kvstore.Faults{{{}, nil}, {nil, nil}}
+		faults := [][]*storage.Faults{{{}, nil}, {nil, nil}}
 		r := memReplicatedRouter(t, 32, 5, 2, 2, nil, faults)
 		srv := server.NewFromBackend(r, server.Config{})
 		faults[0][0].FailReads(1)
@@ -181,7 +181,7 @@ func TestReplicaFaultMatrix(t *testing.T) {
 	})
 
 	t.Run("all-replicas-dead", func(t *testing.T) {
-		faults := [][]*kvstore.Faults{{{}, {}}, {nil, nil}}
+		faults := [][]*storage.Faults{{{}, {}}, {nil, nil}}
 		r := memReplicatedRouter(t, 32, 5, 2, 2, nil, faults)
 		for j, rp := range r.groups[0].reps {
 			rp.store.DropCaches()
@@ -220,7 +220,7 @@ func TestReplicaFaultMatrix(t *testing.T) {
 // by WAL-batch replay and rejoins it.
 func TestReplicaEpochReconcile(t *testing.T) {
 	doc := corpusDoc(t, 24, 9)
-	faults := [][]*kvstore.Faults{{nil, {}}, {nil, nil}}
+	faults := [][]*storage.Faults{{nil, {}}, {nil, nil}}
 	r := memReplicatedRouter(t, 24, 9, 2, 2, &Options{Live: true}, faults)
 	srv := server.NewFromBackend(r, server.Config{})
 	mono := core.NewFromDocument(doc, nil)
@@ -324,7 +324,7 @@ func TestReplicaHedgeCancelPromptness(t *testing.T) {
 	doc := corpusDoc(t, 24, 3)
 	mono := server.New(core.NewFromDocument(doc, nil))
 	want := fetchSearch(t, mono, "database query", "partition", 1, 3)
-	faults := [][]*kvstore.Faults{{{}, nil}, {{}, nil}}
+	faults := [][]*storage.Faults{{{}, nil}, {{}, nil}}
 	r := memReplicatedRouter(t, 24, 3, 2, 2, &Options{HedgeAfter: 50 * time.Microsecond}, faults)
 	srv := server.NewFromBackend(r, server.Config{})
 	for i := range faults {
@@ -465,7 +465,7 @@ func TestParseChaos(t *testing.T) {
 
 func TestChaosArm(t *testing.T) {
 	c := &Chaos{Rate: 1} // every page IO fails
-	f := &kvstore.Faults{}
+	f := &storage.Faults{}
 	c.arm(f, 0, 1)
 	s := kvstore.NewMemWithFaults(f)
 	defer s.Close()

@@ -655,7 +655,7 @@ func (r *Router) scatterGather(in refine.Input, k, fan int, ssp *obs.Span) (*ref
 		return &refine.TopKOutcome{Workers: 1}, nil
 	}
 	bound := refine.NewPruneBound()
-	scans := make([]*refine.ShardScan, len(r.groups))
+	scans := make([]*refine.Scan, len(r.groups))
 	errs := make([]error, len(r.groups))
 	jobs := make(chan int)
 	var wg sync.WaitGroup
@@ -702,7 +702,7 @@ func (r *Router) scatterGather(in refine.Input, k, fan int, ssp *obs.Span) (*ref
 	}
 	msp := ssp.StartChild("merge")
 	start := time.Now()
-	out, err := refine.MergeShardScans(in, k, scans)
+	out, err := refine.MergeScans(in, k, scans)
 	r.m.mergeSecs.Observe(time.Since(start).Seconds())
 	msp.End()
 	if err != nil {
@@ -720,7 +720,7 @@ func (r *Router) scatterGather(in refine.Input, k, fan int, ssp *obs.Span) (*ref
 // attemptResult is one replica scan attempt's outcome.
 type attemptResult struct {
 	rp    *replica
-	scan  *refine.ShardScan
+	scan  *refine.Scan
 	err   error
 	dur   time.Duration
 	hedge bool
@@ -734,7 +734,7 @@ type attemptResult struct {
 // attempt fails over to the next replica with doubling backoff, up to one
 // attempt per readable replica plus the configured retries, before the
 // shard is declared failed.
-func (r *Router) scanShardReplicated(in refine.Input, k int, ks []string, bound *refine.PruneBound, si int, ssp *obs.Span) (*refine.ShardScan, error) {
+func (r *Router) scanShardReplicated(in refine.Input, k int, ks []string, bound *refine.PruneBound, si int, ssp *obs.Span) (*refine.Scan, error) {
 	g := r.groups[si]
 	order := g.readOrder()
 	if len(order) == 0 {

@@ -15,6 +15,7 @@ import (
 	"xrefine/internal/kvstore"
 	"xrefine/internal/obs"
 	"xrefine/internal/server"
+	"xrefine/internal/storage"
 	"xrefine/internal/testutil"
 	"xrefine/internal/tokenize"
 )
@@ -266,7 +267,7 @@ func slowEngine(t *testing.T, latency time.Duration) *core.Engine {
 		t.Fatal(err)
 	}
 	builder := core.NewFromDocument(doc, nil)
-	faults := &kvstore.Faults{}
+	faults := &storage.Faults{}
 	store := kvstore.NewMemWithFaults(faults)
 	t.Cleanup(func() { store.Close() })
 	if err := builder.SaveIndex(store); err != nil {

@@ -1,6 +1,8 @@
 package xmltree
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -120,5 +122,31 @@ func TestSaveDocumentNil(t *testing.T) {
 	defer s.Close()
 	if err := SaveDocument(nil, s); err == nil {
 		t.Error("nil document accepted")
+	}
+}
+
+// TestLoadDocumentRejectsV1Stream: a v1 stream — no version key, children
+// labeled by position because nodes carry no ordinal field — is refused
+// with ErrUnsupportedFormat instead of being decoded positionally.
+func TestLoadDocumentRejectsV1Stream(t *testing.T) {
+	s := kvstore.NewMem()
+	defer s.Close()
+	// <a><b>x</b></a> in v1 order: tag length, tag, child count, text
+	// length, text.
+	var b []byte
+	b = binary.AppendUvarint(b, 1)
+	b = append(b, 'a')
+	b = binary.AppendUvarint(b, 1)
+	b = binary.AppendUvarint(b, 0)
+	b = binary.AppendUvarint(b, 1)
+	b = append(b, 'b')
+	b = binary.AppendUvarint(b, 0)
+	b = binary.AppendUvarint(b, 1)
+	b = append(b, 'x')
+	if err := s.Put(docChunkKey(0), b); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := LoadDocument(s); !errors.Is(err, ErrUnsupportedFormat) {
+		t.Fatalf("LoadDocument = %v, want ErrUnsupportedFormat", err)
 	}
 }

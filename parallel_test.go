@@ -1,7 +1,8 @@
 // Differential tests for the parallel partition pipeline: for any query,
-// corpus, K and worker count, PartitionTopKParallel must return exactly the
-// candidates of the sequential PartitionTopK — same keyword sets, same
-// dissimilarities, and Results concatenated in the same document order.
+// corpus, K and worker count, PartitionTopK with Parallelism > 1 must
+// return exactly the candidates of the sequential walk — same keyword
+// sets, same dissimilarities, and Results concatenated in the same
+// document order.
 package xrefine_test
 
 import (
@@ -41,7 +42,8 @@ func diffQuery(t *testing.T, c *experiments.Corpus, terms []string, k, workers i
 	if err != nil {
 		t.Fatalf("sequential %v: %v", terms, err)
 	}
-	par, err := refine.PartitionTopKParallel(in, k, workers)
+	in.Parallelism = workers
+	par, err := refine.PartitionTopK(in, k)
 	if err != nil {
 		t.Fatalf("parallel %v: %v", terms, err)
 	}
